@@ -23,6 +23,7 @@ open Toolkit
 module Gen = Cobra_graph.Gen
 module Bitset = Cobra_bitset.Bitset
 module Rng = Cobra_prng.Rng
+module Keyed = Cobra_prng.Keyed
 module Process = Cobra_core.Process
 module Cobra = Cobra_core.Cobra
 module Bips = Cobra_core.Bips
@@ -67,7 +68,21 @@ let micro_kernels =
     ignore
       (Process.cobra_step g rng ~branching:(Process.Fixed 2) ~lazy_:false ~current ~next : int)
   in
+  (* The draw primitives under every step kernel, at the bound of an
+     8-regular neighbour pick: one sequential-stream draw, and one keyed
+     reposition plus its masked draw (a vertex's first selection). *)
+  let keyed = Keyed.create ~master:1234 in
+  let base = Keyed.round_base keyed ~round:1 in
+  let mask = Keyed.mask_below 8 in
+  let vertex = ref 0 in
   [
+    Test.make ~name:"micro: xoshiro int_below"
+      (Staged.stage (fun () -> ignore (Rng.int_below rng 8 : int)));
+    Test.make ~name:"micro: keyed position_at+masked_below"
+      (Staged.stage (fun () ->
+           vertex := (!vertex + 1) land (n16 - 1);
+           Keyed.position_at keyed ~base ~vertex:!vertex;
+           ignore (Keyed.masked_below keyed ~mask 8 : int)));
     Test.make ~name:"micro: bitset iter n=65536 (|S|=4096)"
       (Staged.stage (fun () ->
            let acc = ref 0 in

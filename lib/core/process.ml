@@ -244,6 +244,13 @@ let[@inline] keyed_fanout k = function
 let[@inline] keyed_select g k ~lazy_ u =
   if lazy_ && Keyed.bool k then u else Graph.unsafe_keyed_neighbor g k u
 
+(* With [~raw] a fan-out target is written as a bare bit and [into]'s
+   cardinality is left for the caller to recount: [unsafe_add]'s
+   already-a-member test is a coin flip on a dense round, and its
+   mispredictions cost more than the draws. *)
+let[@inline] add_target ~raw into v =
+  if raw then Bitset.unsafe_set_bit into v else Bitset.unsafe_add into v
+
 (* Canonical per-vertex draw sequence of the keyed COBRA step: fan-out
    decision first, then the selections — the same order as the
    sequential kernel, so variant alignment (Bernoulli 1.0 ≡ Fixed 2)
@@ -252,12 +259,12 @@ let[@inline] keyed_select g k ~lazy_ u =
    additionally hoists the degree's rejection mask across the
    selections.  Draw consumption is identical to the naive
    position/int_below sequence, so results match it bit for bit. *)
-let[@inline] cobra_keyed_visit g k ~base ~branching ~lazy_ ~into u =
+let[@inline] cobra_keyed_visit g k ~base ~branching ~lazy_ ~raw ~into u =
   Keyed.position_at k ~base ~vertex:u;
   let fanout = keyed_fanout k branching in
   if lazy_ then
     for _ = 1 to fanout do
-      Bitset.unsafe_add into (keyed_select g k ~lazy_:true u)
+      add_target ~raw into (keyed_select g k ~lazy_:true u)
     done
   else begin
     let d = Graph.unsafe_degree g u in
@@ -265,12 +272,12 @@ let[@inline] cobra_keyed_visit g k ~base ~branching ~lazy_ ~into u =
       (* d = 0 raises exactly as [int_below 0] always did; d = 1
          consumes no draw on either path. *)
       for _ = 1 to fanout do
-        Bitset.unsafe_add into (Graph.unsafe_neighbor g u (Keyed.int_below k d))
+        add_target ~raw into (Graph.unsafe_neighbor g u (Keyed.int_below k d))
       done
     else begin
       let mask = Keyed.mask_below d in
       for _ = 1 to fanout do
-        Bitset.unsafe_add into (Graph.unsafe_neighbor g u (Keyed.masked_below k ~mask d))
+        add_target ~raw into (Graph.unsafe_neighbor g u (Keyed.masked_below k ~mask d))
       done
     end
   end;
@@ -278,13 +285,16 @@ let[@inline] cobra_keyed_visit g k ~base ~branching ~lazy_ ~into u =
 
 (* The serial keyed COBRA round: shared by the poolless/sparse path and
    by dense rounds whenever the tuner has parked the threshold above the
-   frontier. *)
+   frontier.  A frontier with at least one member per bitset word writes
+   raw bits and recounts [next] in one popcount sweep afterwards, which
+   costs at most one word per member. *)
 let cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c =
   Bitset.clear next;
   let k = ctx.streams.(0) in
   let base = Keyed.round_base k ~round in
+  let raw = c >= Bitset.num_words current in
   let tx = ref 0 in
-  let visit u = tx := !tx + cobra_keyed_visit g k ~base ~branching ~lazy_ ~into:next u in
+  let visit u = tx := !tx + cobra_keyed_visit g k ~base ~branching ~lazy_ ~raw ~into:next u in
   if c > 0 && c <= sparse_frontier_threshold then begin
     let m = Bitset.members_into current ctx.members in
     for i = 0 to m - 1 do
@@ -292,16 +302,17 @@ let cobra_step_keyed_serial g ctx ~round ~branching ~lazy_ ~current ~next c =
     done
   end
   else Bitset.iter visit current;
+  if raw then Bitset.refresh_cardinal next;
   !tx
 
 (* Dense sharded COBRA round, one barrier: workers claim word-range
-   chunks of the frontier and scan them into private scratch sets
-   (fan-out targets land anywhere in the universe, so outputs cannot
-   share [next] directly).  The submitting thread is worker 0 — it works
-   instead of spinning at the join.  The scratches are then OR-drained
-   into [next] serially: the sweep is O(num_words) word ops, far below
-   the cost of waking the pool again, and it both counts the merged
-   cardinality and re-zeroes the scratches for the next round. *)
+   chunks of the frontier and scan them into private scratch sets as raw
+   bits (fan-out targets land anywhere in the universe, so outputs
+   cannot share [next] directly).  The submitting thread is worker 0 —
+   it works instead of spinning at the join.  The scratches are then
+   OR-drained into [next] serially: the sweep is O(num_words) word ops,
+   far below the cost of waking the pool again, and it both counts the
+   merged cardinality and re-zeroes the scratches for the next round. *)
 let cobra_step_keyed_par g ctx pool ~round ~branching ~lazy_ ~current ~next c =
   let n = Graph.n g in
   let nw = Bitset.num_words current in
@@ -313,7 +324,7 @@ let cobra_step_keyed_par g ctx pool ~round ~branching ~lazy_ ~current ~next c =
       let k = ctx.streams.(worker) in
       let tx = ref 0 in
       Bitset.iter_range
-        (fun u -> tx := !tx + cobra_keyed_visit g k ~base ~branching ~lazy_ ~into u)
+        (fun u -> tx := !tx + cobra_keyed_visit g k ~base ~branching ~lazy_ ~raw:true ~into u)
         current ~lo ~hi;
       ctx.shard_tx.(worker) <- ctx.shard_tx.(worker) + !tx);
   let card = Bitset.drain_words_range ~into:next ctx.scratch ~lo:0 ~hi:nw in

@@ -273,7 +273,19 @@ let all_hitting_times ?(obs = Obs.null) ?(tol = 1e-8) ?max_iter ?pool g =
     ~solves:n
     ~iterations:(Array.fold_left ( + ) 0 iters)
     ~residual:(Array.fold_left Float.max 0.0 resid);
-  Array.init n (fun u -> Array.init n (fun v -> cols.(v).(u)))
+  (* [cols.(v).(u)] is h(u, v); transpose in place into rows rather than
+     building a second n×n matrix.  Every column is a fresh array from
+     its own solve, so the swaps never alias. *)
+  for u = 0 to n - 1 do
+    let row = cols.(u) in
+    for v = u + 1 to n - 1 do
+      let col = cols.(v) in
+      let x = col.(u) in
+      col.(u) <- row.(v);
+      row.(v) <- x
+    done
+  done;
+  cols
 
 let max_hitting_time ?obs ?tol ?max_iter ?pool g =
   let h = all_hitting_times ?obs ?tol ?max_iter ?pool g in

@@ -1,16 +1,39 @@
 (* Counter-based keyed generator: draw [i] at position [key] is
-   [Splitmix64.mix (key + gamma * i)], i.e. the [i]-th output of a
+   [mix (key + gamma * i)], i.e. the [i]-th output of a
    SplitMix64 state seeded at [key].  Positions are derived from
    (master, stream, round, vertex) with two finaliser applications, so
    structured lattices of nearby rounds/vertices land on decorrelated
-   keys. *)
+   keys.
 
-type t = {
-  master : int64; (* pre-mixed master seed *)
-  mutable ctr : int64; (* position key + gamma * draw_index *)
-}
+   The cursor is two raw 64-bit words in a 16-byte [Bytes.t]: the
+   pre-mixed master seed at offset 0 and the counter (position key +
+   gamma * draw index) at offset 8.  Mutable [int64] record fields are
+   boxed, so each draw and each reposition would allocate; the
+   [%caml_bytes_get64u]/[%caml_bytes_set64u] primitives load and store
+   the words unboxed. *)
 
-let gamma = Splitmix64.gamma
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] master t = get64 t 0
+let[@inline] ctr t = get64 t 8
+let[@inline] set_ctr t v = set64 t 8 v
+
+(* The SplitMix64 golden-ratio increment and finaliser.  They live here,
+   where every draw and every reposition runs them; {!Splitmix64}
+   re-exports both for its cold seeding paths.  A finaliser called from
+   another module that is not inlined (every dev-profile build compiles
+   with -opaque) returns its [int64] boxed, so only a definition local to
+   the draws keeps the chain in registers in every build. *)
+let gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
+  let z = Int64.add z gamma in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* The (stream, round) half of the position key.  It is loop-invariant
    across a round's vertices, so the step kernels hoist it once per
@@ -18,36 +41,39 @@ let gamma = Splitmix64.gamma
    vertex ([position_at]) instead of the two that the from-scratch
    [key_of] costs. *)
 let[@inline] base_of ~master ~stream ~round =
-  Splitmix64.mix (Int64.add master (Int64.of_int ((round * 8) + stream)))
+  mix (Int64.add master (Int64.of_int ((round * 8) + stream)))
 
 let[@inline] key_of ~master ~stream ~round ~vertex =
   (* Two mix rounds: one folds the round (and stream tag) into the
      master, one folds the vertex in.  Each is a bijection of the 64-bit
      space, so distinct tuples with vertex < 2^61 map to distinct
      pre-images — collisions are only those of the finaliser itself. *)
-  Splitmix64.mix (Int64.add (base_of ~master ~stream ~round) (Int64.of_int vertex))
+  mix (Int64.add (base_of ~master ~stream ~round) (Int64.of_int vertex))
 
 let create ~master =
-  let master = Splitmix64.mix (Int64.of_int master) in
-  { master; ctr = key_of ~master ~stream:0 ~round:0 ~vertex:0 }
+  let master = mix (Int64.of_int master) in
+  let t = Bytes.create 16 in
+  set64 t 0 master;
+  set_ctr t (key_of ~master ~stream:0 ~round:0 ~vertex:0);
+  t
 
-let copy t = { master = t.master; ctr = t.ctr }
+let copy = Bytes.copy
 
-let round_base ?(stream = 0) t ~round = base_of ~master:t.master ~stream ~round
+let round_base ?(stream = 0) t ~round = base_of ~master:(master t) ~stream ~round
 
 let[@inline] position_at t ~base ~vertex =
-  t.ctr <- Splitmix64.mix (Int64.add base (Int64.of_int vertex))
+  set_ctr t (mix (Int64.add base (Int64.of_int vertex)))
 
 let position ?(stream = 0) t ~round ~vertex =
-  t.ctr <- key_of ~master:t.master ~stream ~round ~vertex
+  set_ctr t (key_of ~master:(master t) ~stream ~round ~vertex)
 
 let derive_seed ~master ~stream ~round ~vertex =
-  key_of ~master:(Splitmix64.mix (Int64.of_int master)) ~stream ~round ~vertex
+  key_of ~master:(mix (Int64.of_int master)) ~stream ~round ~vertex
 
 let[@inline] next64 t =
-  let v = Splitmix64.mix t.ctr in
-  t.ctr <- Int64.add t.ctr gamma;
-  v
+  let c = ctr t in
+  set_ctr t (Int64.add c gamma);
+  mix c
 
 let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (next64 t) 34)
 

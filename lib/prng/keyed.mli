@@ -15,14 +15,18 @@
       two finaliser applications, so per-vertex streams cost no
       allocation and no seeding loop.
 
-    A [Keyed.t] is a cheap mutable cursor (position + draw counter); each
-    worker domain owns one and repositions it per vertex.  Statistically
-    each position opens an independent SplitMix64 stream: the draw at
-    index [i] is [mix (key + gamma * i)], exactly the [i]-th output of a
-    SplitMix64 state seeded at [key]. *)
+    A [Keyed.t] is a 16-byte cursor (master seed + draw counter, both
+    unboxed 64-bit words), updated in place by every draw and
+    reposition; each worker domain owns one and repositions it per
+    vertex.  Statistically each position opens an independent SplitMix64
+    stream: the draw at index [i] is [mix (key + gamma * i)], exactly the
+    [i]-th output of a SplitMix64 state seeded at [key]. *)
 
 type t
-(** Mutable cursor: the current position key and draw counter. *)
+(** Cursor over one master seed's keyed space: the current position key
+    plus draw counter, updated in place without allocating.  Binding it
+    to a second name shares the cursor; only {!copy} gives an
+    independent one. *)
 
 val create : master:int -> t
 (** [create ~master] is a cursor over the keyed space of [master].  Equal
@@ -76,6 +80,13 @@ val int_below_run : t -> int -> out:int array -> count:int -> unit
     Draw consumption is identical to [count] separate calls.
     @raise Invalid_argument if [n <= 0] or [out] is shorter than
     [count]. *)
+
+val gamma : int64
+(** The SplitMix64 golden-ratio increment, {!Splitmix64.gamma}. *)
+
+val mix : int64 -> int64
+(** The SplitMix64 finaliser, {!Splitmix64.mix}: defined here because
+    every keyed draw and reposition runs it. *)
 
 val derive_seed : master:int -> stream:int -> round:int -> vertex:int -> int64
 (** [derive_seed ~master ~stream ~round ~vertex] is the 64-bit position key the

@@ -1,26 +1,17 @@
 type t = { mutable state : int64 }
 
-let gamma = 0x9E3779B97F4A7C15L
-
-(* The two multiply-xorshift rounds of the SplitMix64 finaliser.  All
-   arithmetic is modulo 2^64, which Int64 provides natively.  [@inline]
-   matters: inlined into the keyed kernels the whole chain stays in
-   unboxed int64 registers; as an out-of-line call every intermediate
-   boxes. *)
-let[@inline] mix z =
-  let z = Int64.add z gamma in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+(* The increment and the finaliser (two multiply-xorshift rounds, all
+   arithmetic modulo 2^64) are defined in {!Keyed}, whose draws run them
+   on every step; the seeding paths here are cold. *)
+let gamma = Keyed.gamma
+let mix = Keyed.mix
 
 let create seed = { state = seed }
 
 let next t =
-  let s = Int64.add t.state gamma in
-  t.state <- s;
-  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  let s = t.state in
+  t.state <- Int64.add s gamma;
+  mix s
 
 let seed_of_pair master i =
   (* Feed the trial index through two mix rounds offset by the master

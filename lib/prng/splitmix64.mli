@@ -10,7 +10,8 @@
     single user-supplied master seed. *)
 
 type t
-(** Mutable SplitMix64 state. *)
+(** SplitMix64 state: one 64-bit counter, advanced in place by {!next}.
+    Binding it to a second name shares the stream. *)
 
 val create : int64 -> t
 (** [create seed] initialises a generator from an arbitrary 64-bit seed. *)

@@ -7,7 +7,10 @@
     recommend. *)
 
 type t
-(** Mutable generator state. *)
+(** Generator state: 256 bits held as four unboxed 64-bit words, so a
+    draw allocates nothing.  Every draw updates it in place; binding it
+    to a second name shares the stream, and only {!copy} gives an
+    independent one. *)
 
 val create : int64 -> t
 (** [create seed] builds a state by expanding [seed] with SplitMix64.

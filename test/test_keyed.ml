@@ -332,6 +332,38 @@ let test_dense_threshold_boundary () =
         [ 2; 3 ])
     [ threshold - 1; threshold; threshold + 1 ]
 
+let test_raw_writes_recount () =
+  (* The serial keyed COBRA round writes raw bits once the frontier has
+     at least one member per bitset word, and recounts [next] after the
+     round.  On both sides of that switch the result must be the naive
+     per-member draw sequence, with its exact cardinality. *)
+  let g = Gen.hypercube 10 in
+  let n = Graph.n g in
+  let nw = Bitset.num_words (Bitset.create n) in
+  List.iter
+    (fun card ->
+      let current = spread_frontier n card in
+      let ctx = Process.make_keyed_ctx g ~master:11 in
+      let next = Bitset.create n in
+      let tx =
+        Process.cobra_step_keyed g ctx ~round:3 ~branching:(Process.Fixed 2) ~lazy_:false
+          ~current ~next
+      in
+      let expect = Bitset.create n in
+      let k = Keyed.create ~master:11 in
+      Bitset.iter
+        (fun u ->
+          Keyed.position k ~round:3 ~vertex:u;
+          for _ = 1 to 2 do
+            Bitset.add expect (Graph.neighbor g u (Keyed.int_below k (Graph.degree g u)))
+          done)
+        current;
+      let name what = Printf.sprintf "card=%d (%d words): %s" card nw what in
+      check_int (name "transmissions") (2 * card) tx;
+      check_int (name "cardinal") (List.length (Bitset.to_list expect)) (Bitset.cardinal next);
+      check_bool (name "next set") true (Bitset.equal expect next))
+    [ nw - 1; nw; 3 * nw; n ]
+
 let test_scan_last_shard_edge () =
   (* keyed_scan_par (BIPS/SIS) writes [next] in word-aligned chunks;
      with n = 100 the final chunk covers a 37-bit partial word.  The
@@ -496,6 +528,7 @@ let () =
           Alcotest.test_case "sis trajectory" `Quick test_sis_pool_invariance;
           Alcotest.test_case "dense threshold" `Quick test_dense_threshold_irrelevant;
           Alcotest.test_case "threshold boundary" `Quick test_dense_threshold_boundary;
+          Alcotest.test_case "raw writes recount" `Quick test_raw_writes_recount;
           Alcotest.test_case "scan last-shard edge" `Quick test_scan_last_shard_edge;
           Alcotest.test_case "sequential ignores pool" `Quick test_sequential_ignores_pool;
           Alcotest.test_case "engine" `Quick test_engine_keyed_invariance;

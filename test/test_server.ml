@@ -290,7 +290,11 @@ let quick_job ?(seed = 2017) () : Proto.job =
     master_seed = seed;
   }
 
-(* A job slow enough (seconds) to still be running when we act on it. *)
+(* A job slow enough to still be running when we act on it.  Deadlines
+   and cancellation are checked between trials, so it needs many trials
+   per worker, not only slow ones: with 4 trials on two workers, once a
+   trial takes under 50 ms each worker's deadline check after its first
+   trial passes and the job completes. *)
 let slow_job ?(seed = 7) () : Proto.job =
   {
     kind = Proto.Cover_time;
@@ -298,7 +302,7 @@ let slow_job ?(seed = 7) () : Proto.job =
     branching = Cobra_core.Process.Fixed 2;
     lazy_ = false;
     max_rounds = None;
-    trials = 4;
+    trials = 16;
     master_seed = seed;
   }
 
