@@ -2,7 +2,8 @@
 
    Part 0 — kernel microbenches at n = 2^16: the word-parallel bitset
    kernels and cobra_step on hypercube/expander/torus at the graph sizes
-   the experiment tables want to afford.  `dune exec bench/main.exe --
+   the experiment tables want to afford, and one keyed BIPS infection
+   trial on ba:4 at n = 2^14.  `dune exec bench/main.exe --
    --quick` runs only these (plus the substrate kernels) under a reduced
    measurement quota and still writes BENCH_cobra.json — the CI smoke
    mode that makes kernel perf drift visible per PR.
@@ -58,6 +59,10 @@ let regular8_65536 = Gen.random_regular ~n:n16 ~r:8 ~switches_per_edge:5 (Rng.cr
 
 let spread k = List.init k (fun i -> i * (n16 / k))
 
+(* A hub-heavy graph whose keyed BIPS trial runs sparse, full-scan and
+   late rounds (Process's frontier-local rounds). *)
+let ba4_16384 = Gen.by_name "ba:4" ~n:(1 lsl 14) (Rng.create 4)
+
 let micro_kernels =
   let dense = Bitset.of_list n16 (spread 4096) in
   let dense_b = Bitset.of_list n16 (List.init 4096 (fun i -> (i * 16) + 7)) in
@@ -101,6 +106,11 @@ let micro_kernels =
     Test.make ~name:"micro: cobra_step hypercube d=16 sparse (|C|=32)"
       (Staged.stage (step hypercube16 sparse));
     Test.make ~name:"cover: hypercube n=65536" (Staged.stage (cover hypercube16));
+    Test.make ~name:"infection: keyed bips ba:4 n=16384"
+      (Staged.stage (fun () ->
+           ignore
+             (Bips.run_infection ba4_16384 rng ~rng_mode:(Process.Keyed { master = 2017 })
+                ~source:0 ())));
   ]
 
 (* --- Part 0.5: domain-scaling of the keyed step kernel ---

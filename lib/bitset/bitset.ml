@@ -213,6 +213,21 @@ let iter f t =
     end
   done
 
+let next_member t i =
+  if i < 0 then invalid_arg "Bitset.next_member: negative start";
+  if i >= t.capacity then t.capacity
+  else begin
+    let words = t.words in
+    let last = Array.length words - 1 in
+    let w = ref (div_bpw i) in
+    let word = ref (Array.unsafe_get words !w land (-1 lsl mod_bpw i)) in
+    while !word = 0 && !w < last do
+      incr w;
+      word := Array.unsafe_get words !w
+    done;
+    if !word = 0 then t.capacity else (!w * bpw) + ctz_onehot (!word land - !word)
+  end
+
 let iter_words f t =
   let words = t.words in
   for w = 0 to Array.length words - 1 do
@@ -355,17 +370,7 @@ let of_list capacity xs =
   List.iter (add t) xs;
   t
 
-let choose t =
-  if t.card = 0 then None
-  else begin
-    let words = t.words in
-    let w = ref 0 in
-    while words.(!w) = 0 do
-      incr w
-    done;
-    let word = words.(!w) in
-    Some ((!w * bpw) + ctz_onehot (word land -word))
-  end
+let choose t = if t.card = 0 then None else Some (next_member t 0)
 
 let random_member t rng =
   if t.card = 0 then invalid_arg "Bitset.random_member: empty set";

@@ -97,6 +97,13 @@ val intersects : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
 (** Iterates members in increasing order. *)
 
+val next_member : t -> int -> int
+(** [next_member t i] is the smallest member [>= i], or [capacity t] if
+    there is none — the closure-free cursor of kernel loops
+    ([let u = ref (next_member t 0) in while !u < capacity t do ...;
+    u := next_member t (!u + 1) done]).
+    @raise Invalid_argument if [i < 0]. *)
+
 val iter_words : (int -> int -> unit) -> t -> unit
 (** [iter_words f t] calls [f base bits] once per non-zero machine word
     in increasing order, where [base] is the element index of the word's

@@ -150,6 +150,10 @@ type keyed_ctx = {
   shard_tx : int array; (* per-worker transmission accumulators *)
   shard_card : int array; (* per-worker popcount accumulators (scan kernels) *)
   members : int array; (* sparse-path frontier buffer *)
+  (* Frontier-local BIPS/SIS rounds: the graph's minimum degree (-1
+     until the first such round) and the set of vertices drawn for. *)
+  mutable min_degree : int;
+  mutable draw_set : Bitset.t;
   pool : Pool.t option;
   nworkers : int;
   dense_threshold : int;
@@ -185,6 +189,8 @@ let make_keyed_ctx ?pool ?dense_threshold _g ~master =
     shard_tx = Array.make nworkers 0;
     shard_card = Array.make nworkers 0;
     members = Array.make sparse_frontier_threshold 0;
+    min_degree = -1;
+    draw_set = Bitset.create 0;
     pool;
     nworkers;
     dense_threshold = Option.value dense_threshold ~default:default_dense_threshold;
@@ -199,6 +205,14 @@ let make_keyed_ctx ?pool ?dense_threshold _g ~master =
 let ensure_scratch ctx n =
   if Array.length ctx.scratch = 0 then
     ctx.scratch <- Array.init ctx.nworkers (fun _ -> Bitset.create n)
+
+(* Likewise the frontier-local BIPS/SIS state: COBRA contexts never
+   build it. *)
+let ensure_local ctx g =
+  if ctx.min_degree < 0 then begin
+    ctx.min_degree <- Graph.min_degree g;
+    ctx.draw_set <- Bitset.create (Graph.n g)
+  end
 
 let[@inline] ewma old x = if Float.is_nan old then x else (0.7 *. old) +. (0.3 *. x)
 
@@ -399,49 +413,137 @@ let keyed_scan_round ctx ~n ~par ~serial =
         record_round ctx ~parallel ~members:n ~elapsed_s:(Unix.gettimeofday () -. t0)
   | _ -> serial ()
 
+(* --- frontier-local BIPS/SIS rounds ---
+
+   A vertex's outcome depends on its draws only when one selection can
+   land in A and another can miss it.  With no neighbour in A (and, if
+   lazy, not itself in A) it stays out whatever it draws; with every
+   neighbour in A (and, if lazy, itself in A) it is in whatever it
+   draws.  Keyed draws are positioned per (round, vertex), so skipping
+   those vertices leaves every other vertex's draws, and so the round,
+   bit-identical.  Two regimes pay for the O(vol) neighbourhood sweep:
+
+   - sparse, vol(A) <= n: draw only over N(A) (∪ A when lazy);
+   - late, vol(V \ A) <= n: every vertex outside D = N(V \ A)
+     (∪ V \ A when lazy) is infected without a draw; draw only over D.
+
+   Any other round scans in full.  Sequential streams cannot skip: a
+   skipped vertex would shift every later draw.  Local rounds run
+   serially and stay out of the auto-tuner, whose ns-per-member keeps
+   measuring full scans.  A graph with an isolated vertex always scans
+   in full, so that vertex's draw raises as it always has. *)
+
+(* [into] := N(s), plus [s] itself when [lazy_]. *)
+let neighbourhood_into g ~lazy_ s ~into =
+  Bitset.clear into;
+  let n = Bitset.capacity s in
+  let u = ref (Bitset.next_member s 0) in
+  while !u < n do
+    let a = !u in
+    if lazy_ then Bitset.unsafe_set_bit into a;
+    for i = 0 to Graph.unsafe_degree g a - 1 do
+      Bitset.unsafe_set_bit into (Graph.unsafe_neighbor g a i)
+    done;
+    u := Bitset.next_member s (a + 1)
+  done;
+  Bitset.refresh_cardinal into
+
+(* Whether vol(s) <= cap; stops summing once it is exceeded. *)
+let volume_at_most g s cap =
+  let n = Bitset.capacity s in
+  let vol = ref 0 and u = ref (Bitset.next_member s 0) in
+  while !u < n && !vol <= cap do
+    vol := !vol + Graph.unsafe_degree g !u;
+    u := Bitset.next_member s (!u + 1)
+  done;
+  !vol <= cap
+
+(* Adds to [next] the members of [ctx.draw_set] (bar [skip]) that their
+   draws infect. *)
+let draw_members g ctx ~base ~branching ~lazy_ ~skip ~current ~next =
+  let k = ctx.streams.(0) and d = ctx.draw_set in
+  let n = Bitset.capacity d in
+  let u = ref (Bitset.next_member d 0) in
+  while !u < n do
+    let v = !u in
+    if v <> skip && keyed_infected g k ~base ~branching ~lazy_ ~current v then
+      Bitset.unsafe_add next v;
+    u := Bitset.next_member d (v + 1)
+  done
+
+(* Runs the round frontier-locally and answers [true] when a regime
+   applies; [false] leaves [next] for the full scan to overwrite.  The
+   cardinality bounds vol(S) >= |S| * dmin rule a regime out in O(1). *)
+let keyed_local_round g ctx ~base ~branching ~lazy_ ~skip ~current ~next =
+  ensure_local ctx g;
+  let n = Graph.n g and dmin = ctx.min_degree in
+  let c = Bitset.cardinal current in
+  if dmin = 0 then false
+  else if c * dmin <= n && volume_at_most g current n then begin
+    neighbourhood_into g ~lazy_ current ~into:ctx.draw_set;
+    Bitset.clear next;
+    draw_members g ctx ~base ~branching ~lazy_ ~skip ~current ~next;
+    true
+  end
+  else if
+    (n - c) * dmin <= n
+    && begin
+         (* [next] := V \ A, the set whose volume decides. *)
+         Bitset.fill next;
+         Bitset.diff_into ~into:next current;
+         volume_at_most g next n
+       end
+  then begin
+    neighbourhood_into g ~lazy_ next ~into:ctx.draw_set;
+    Bitset.fill next;
+    Bitset.diff_into ~into:next ctx.draw_set;
+    draw_members g ctx ~base ~branching ~lazy_ ~skip ~current ~next;
+    true
+  end
+  else false
+
 let bips_step_keyed g ctx ~round ~branching ~lazy_ ~source ~current ~next =
   let n = Graph.n g in
   let base = Keyed.round_base ctx.streams.(0) ~round in
-  keyed_scan_round ctx ~n
-    ~par:(fun pool ->
-      keyed_scan_par pool ctx ~n ~next (fun k u ->
+  if not (keyed_local_round g ctx ~base ~branching ~lazy_ ~skip:source ~current ~next) then
+    keyed_scan_round ctx ~n
+      ~par:(fun pool ->
+        keyed_scan_par pool ctx ~n ~next (fun k u ->
+            if u <> source && keyed_infected g k ~base ~branching ~lazy_ ~current u then
+              Bitset.unsafe_set_bit next u))
+      ~serial:(fun () ->
+        Bitset.clear next;
+        let k = ctx.streams.(0) in
+        for u = 0 to n - 1 do
           if u <> source && keyed_infected g k ~base ~branching ~lazy_ ~current u then
-            Bitset.unsafe_set_bit next u))
-    ~serial:(fun () ->
-      Bitset.clear next;
-      let k = ctx.streams.(0) in
-      for u = 0 to n - 1 do
-        if u <> source && keyed_infected g k ~base ~branching ~lazy_ ~current u then
-          Bitset.unsafe_add next u
-      done);
+            Bitset.unsafe_add next u
+        done);
   Bitset.add next source
 
 let sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next =
   let n = Graph.n g in
   let base = Keyed.round_base ctx.streams.(0) ~round in
-  keyed_scan_round ctx ~n
-    ~par:(fun pool ->
-      keyed_scan_par pool ctx ~n ~next (fun k u ->
-          if keyed_infected g k ~base ~branching ~lazy_ ~current u then
-            Bitset.unsafe_set_bit next u))
-    ~serial:(fun () ->
-      Bitset.clear next;
-      let k = ctx.streams.(0) in
-      for u = 0 to n - 1 do
-        if keyed_infected g k ~base ~branching ~lazy_ ~current u then Bitset.unsafe_add next u
-      done)
+  if not (keyed_local_round g ctx ~base ~branching ~lazy_ ~skip:(-1) ~current ~next) then
+    keyed_scan_round ctx ~n
+      ~par:(fun pool ->
+        keyed_scan_par pool ctx ~n ~next (fun k u ->
+            if keyed_infected g k ~base ~branching ~lazy_ ~current u then
+              Bitset.unsafe_set_bit next u))
+      ~serial:(fun () ->
+        Bitset.clear next;
+        let k = ctx.streams.(0) in
+        for u = 0 to n - 1 do
+          if keyed_infected g k ~base ~branching ~lazy_ ~current u then Bitset.unsafe_add next u
+        done)
 
 let bips_candidate_set g ~source ~current ~into =
-  Bitset.clear into;
-  (* C = (N(A) ∪ {v}) \ B_fix, with B_fix = { u : N(u) ⊆ A }. *)
-  let in_neighborhood u =
-    Graph.fold_neighbors g u (fun acc v -> acc || Bitset.mem current v) false
-  in
-  let all_neighbors_infected u =
-    Graph.fold_neighbors g u (fun acc v -> acc && Bitset.mem current v) true
-  in
-  let n = Graph.n g in
-  for u = 0 to n - 1 do
-    if (u = source || in_neighborhood u) && not (all_neighbors_infected u) then
-      Bitset.add into u
-  done
+  (* C = (N(A) ∪ {v}) \ B_fix, with B_fix = { u : N(u) ⊆ A }.  A vertex
+     escapes B_fix exactly when it has a neighbour outside A, so
+     C = (N(A) ∪ {v}) ∩ N(V \ A). *)
+  let rest = Bitset.create (Graph.n g) in
+  Bitset.fill rest;
+  Bitset.diff_into ~into:rest current;
+  neighbourhood_into g ~lazy_:false rest ~into;
+  neighbourhood_into g ~lazy_:false current ~into:rest;
+  Bitset.add rest source;
+  Bitset.inter_into ~into rest

@@ -140,9 +140,10 @@ val sis_step :
 
 type keyed_ctx
 (** Per-run state of the keyed kernels: one keyed cursor and scratch
-    set per shard, the sparse-path buffer, and the scheduling knobs.
-    Create once per run; reuse across runs only when the graph
-    (capacity) and master seed are the same. *)
+    set per shard, the sparse-path buffer, the graph's minimum degree
+    and draw set of frontier-local BIPS/SIS rounds, and the scheduling
+    knobs.  Create once per run; reuse across runs only when the graph
+    and master seed are the same. *)
 
 val make_keyed_ctx :
   ?pool:Cobra_parallel.Pool.t -> ?dense_threshold:int -> Cobra_graph.Graph.t ->
@@ -163,12 +164,19 @@ val cobra_step_keyed :
 val bips_step_keyed :
   Cobra_graph.Graph.t -> keyed_ctx -> round:int -> branching:branching -> lazy_:bool ->
   source:int -> current:Cobra_bitset.Bitset.t -> next:Cobra_bitset.Bitset.t -> unit
-(** Keyed {!bips_step}. *)
+(** Keyed {!bips_step}.  A sparse round ([vol(A) <= n]) draws only for
+    [N(A)] (plus [A] when lazy), since every other vertex stays out; a
+    late round ([vol(V \ A) <= n]) draws only for [N(V \ A)] (plus
+    [V \ A] when lazy), since every other vertex is infected; other
+    rounds scan every vertex.  Keyed draws depend only on
+    [(master, round, vertex)], so the result is the same as a full
+    scan's.  A graph with an isolated vertex always scans in full. *)
 
 val sis_step_keyed :
   Cobra_graph.Graph.t -> keyed_ctx -> round:int -> branching:branching -> lazy_:bool ->
   current:Cobra_bitset.Bitset.t -> next:Cobra_bitset.Bitset.t -> unit
-(** Keyed {!sis_step}. *)
+(** Keyed {!sis_step}, with the frontier-local rounds of
+    {!bips_step_keyed}. *)
 
 val bips_candidate_set :
   Cobra_graph.Graph.t -> source:int -> current:Cobra_bitset.Bitset.t ->

@@ -79,14 +79,35 @@ let test_keyed_draws () =
     check_float_draw "float01" (fun () -> Keyed.float01 k)
   end
 
-(* Words one dense round of [step] allocates on the [dim]-cube in the
-   given CSR storage, from a full frontier, with a keyed context that
-   has no pool. *)
-let round_words storage dim step =
+(* Frontiers a round is measured from, over n vertices.  From a full
+   frontier the keyed BIPS/SIS rounds settle every vertex without a
+   draw; [source] makes them sparse, [nearly full] late and [half] a
+   full scan. *)
+let full n =
+  let s = Bitset.create n in
+  Bitset.fill s;
+  s
+
+let frontiers =
+  [
+    ("full", full);
+    ("source", fun n -> Bitset.of_list n [ 0 ]);
+    ( "nearly full",
+      fun n ->
+        let s = full n in
+        for i = 0 to (n / 64) - 1 do
+          Bitset.remove s ((64 * i) + 1)
+        done;
+        s );
+    ("half", fun n -> Bitset.of_list n (List.init (n / 2) (fun i -> 2 * i)));
+  ]
+
+(* Words one round of [step] allocates on the [dim]-cube in the given
+   CSR storage, from [frontier], with a keyed context that has no pool. *)
+let round_words storage dim frontier step =
   let g = storage (Gen.hypercube dim) in
   let n = Graph.n g in
-  let current = Bitset.create n and next = Bitset.create n in
-  Bitset.fill current;
+  let current = frontier n and next = Bitset.create n in
   let rng = Rng.create 5 in
   let ctx = Process.make_keyed_ctx g ~master:5 in
   step g rng ctx ~current ~next;
@@ -94,37 +115,45 @@ let round_words storage dim step =
 
 let fixed = Process.Fixed 2
 
-(* Each kernel with the minor words its round may allocate.  The
-   sequential BIPS and SIS rounds allocate nothing; the others build a
-   few per-round closures (and the keyed ones box the round key), sized
-   here to what a dev-profile build measures.  Nothing is per member. *)
+(* Each kernel with the minor words its round may allocate and the
+   frontiers it is measured from.  The sequential BIPS and SIS rounds
+   allocate nothing; the others build a few per-round closures (and the
+   keyed ones box the round key), sized here to what a dev-profile
+   build measures.  Nothing is per member. *)
 let kernels =
+  let only_full = [ List.hd frontiers ] in
   [
     ( "cobra_step",
       11.0,
+      only_full,
       fun g rng _ ~current ~next ->
         ignore (Process.cobra_step g rng ~branching:fixed ~lazy_:false ~current ~next : int) );
     ( "bips_step",
       0.0,
+      only_full,
       fun g rng _ ~current ~next ->
         Process.bips_step g rng ~branching:fixed ~lazy_:false ~source:0 ~current ~next );
     ( "sis_step",
       0.0,
+      only_full,
       fun g rng _ ~current ~next ->
         Process.sis_step g rng ~branching:fixed ~lazy_:false ~current ~next );
     ( "cobra_step_keyed",
       16.0,
+      only_full,
       fun g _ ctx ~current ~next ->
         ignore
           (Process.cobra_step_keyed g ctx ~round:1 ~branching:fixed ~lazy_:false ~current ~next
             : int) );
     ( "bips_step_keyed",
       27.0,
+      frontiers,
       fun g _ ctx ~current ~next ->
         Process.bips_step_keyed g ctx ~round:1 ~branching:fixed ~lazy_:false ~source:0 ~current
           ~next );
     ( "sis_step_keyed",
       25.0,
+      frontiers,
       fun g _ ctx ~current ~next ->
         Process.sis_step_keyed g ctx ~round:1 ~branching:fixed ~lazy_:false ~current ~next );
   ]
@@ -136,12 +165,16 @@ let test_kernel_rounds () =
     List.iter
       (fun (sname, storage) ->
         List.iter
-          (fun (kname, allowance, step) ->
-            let name = Printf.sprintf "%s on %s" kname sname in
-            let small = round_words storage 10 step and large = round_words storage 12 step in
-            check_words (name ^ ": 0 words per member") small large;
-            if large > allowance then
-              Alcotest.failf "%s: %.0f minor words per round, over %.0f" name large allowance)
+          (fun (kname, allowance, frontiers, step) ->
+            List.iter
+              (fun (fname, frontier) ->
+                let name = Printf.sprintf "%s on %s from %s" kname sname fname in
+                let small = round_words storage 10 frontier step
+                and large = round_words storage 12 frontier step in
+                check_words (name ^ ": 0 words per member") small large;
+                if large > allowance then
+                  Alcotest.failf "%s: %.0f minor words per round, over %.0f" name large allowance)
+              frontiers)
           kernels)
       storages
 

@@ -112,6 +112,33 @@ let test_random_member () =
     (Invalid_argument "Bitset.random_member: empty set") (fun () ->
       ignore (Bitset.random_member empty rng))
 
+let test_next_member () =
+  (* Against a linear scan, from every start, on sets whose members sit
+     at word edges, including a partial last word and the empty set. *)
+  let naive s i =
+    let n = Bitset.capacity s in
+    let rec go j = if j >= n then n else if Bitset.mem s j then j else go (j + 1) in
+    go i
+  in
+  List.iter
+    (fun (n, members) ->
+      let s = Bitset.of_list n members in
+      for i = 0 to n + 1 do
+        check_int
+          (Printf.sprintf "n=%d next_member from %d" n i)
+          (naive s i) (Bitset.next_member s i)
+      done)
+    [
+      (0, []);
+      (1, [ 0 ]);
+      (100, []);
+      (100, [ 0; 62; 63; 99 ]);
+      (130, [ 61; 125; 126; 129 ]);
+      (189, [ 188 ]);
+    ];
+  Alcotest.check_raises "negative start" (Invalid_argument "Bitset.next_member: negative start")
+    (fun () -> ignore (Bitset.next_member (Bitset.create 4) (-1)))
+
 let test_errors () =
   let s = Bitset.create 10 in
   Alcotest.check_raises "out of range" (Invalid_argument "Bitset: element 10 out of range [0, 10)")
@@ -333,6 +360,7 @@ let () =
           Alcotest.test_case "blit" `Quick test_blit;
           Alcotest.test_case "choose/fold" `Quick test_choose_fold;
           Alcotest.test_case "random_member" `Quick test_random_member;
+          Alcotest.test_case "next_member" `Quick test_next_member;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "capacity cap boundary" `Quick test_capacity_cap;
           Alcotest.test_case "pp" `Quick test_pp;

@@ -407,6 +407,182 @@ let test_scan_last_shard_edge () =
             (Bitset.cardinal sis_serial) (Bitset.cardinal sis_pool)))
     pool_widths
 
+(* --- Frontier-local BIPS/SIS rounds against a naive reference ---
+
+   The keyed BIPS/SIS kernels skip the draws of vertices whose outcome
+   is fixed, drawing only near A (sparse rounds) or near V \ A (late
+   rounds).  The reference below positions every vertex and draws for
+   it, so any vertex the kernels wrongly skip, or wrongly settle
+   without a draw, shows up as a difference. *)
+
+let reference_round g ~master ~round ~branching ~lazy_ ~source ~current =
+  let n = Graph.n g in
+  let next = Bitset.create n in
+  let k = Keyed.create ~master in
+  for u = 0 to n - 1 do
+    Keyed.position k ~round ~vertex:u;
+    let fanout =
+      match branching with
+      | Process.Fixed b -> b
+      | Process.Bernoulli rho -> if Keyed.bernoulli k rho then 2 else 1
+    in
+    let infected = ref false in
+    for _ = 1 to fanout do
+      let v =
+        if lazy_ && Keyed.bool k then u
+        else Graph.neighbor g u (Keyed.int_below k (Graph.degree g u))
+      in
+      if Bitset.mem current v then infected := true
+    done;
+    if !infected && Some u <> source then Bitset.add next u
+  done;
+  Option.iter (Bitset.add next) source;
+  next
+
+(* The regime a frontier puts a round of [g] in, by the kernels' rule. *)
+let regime g current =
+  let n = Graph.n g in
+  let vol = Graph.degree_of_set g current in
+  if vol <= n then `Sparse else if Graph.total_degree g - vol <= n then `Late else `Full
+
+let regime_name = function `Sparse -> "sparse" | `Late -> "late" | `Full -> "full"
+
+(* Frontiers from one vertex to all of them, at fixed random densities. *)
+let frontiers n =
+  let rng = Rng.create 77 in
+  let random_set p =
+    Bitset.of_list n (List.filter (fun _ -> Rng.float01 rng < p) (List.init n Fun.id))
+  in
+  let all_but p =
+    let s = random_set p in
+    let c = Bitset.create n in
+    Bitset.fill c;
+    Bitset.diff_into ~into:c s;
+    c
+  in
+  [
+    Bitset.of_list n [ 0 ];
+    Bitset.of_list n [ 0; 1 ];
+    random_set 0.03;
+    random_set 0.1;
+    random_set 0.5;
+    random_set 0.8;
+    all_but 0.1;
+    all_but 0.02;
+    all_but 0.0;
+  ]
+
+let branching_name = function
+  | Process.Fixed b -> Printf.sprintf "b=%d" b
+  | Process.Bernoulli rho -> Printf.sprintf "rho=%g" rho
+
+let test_local_rounds_match_reference () =
+  let graphs =
+    [
+      ("star", Gen.star 48);
+      ("ba:4", Gen.by_name "ba:4" ~n:300 (Rng.create 5));
+      ("hypercube d=8", Gen.hypercube 8);
+    ]
+  in
+  let storages = [ ("boxed", Graph.to_boxed); ("packed", Graph.pack) ] in
+  let variants =
+    List.concat_map
+      (fun b -> [ (b, false); (b, true) ])
+      [ Process.Fixed 1; Process.Fixed 2; Process.Fixed 3; Process.Bernoulli 0.5 ]
+  in
+  (* One BIPS and one SIS round of every variant from [current]; a pool
+     pins the threshold so that full scans shard. *)
+  let check_rounds ?pool ~label g current ~master =
+    let round = 4 and source = 3 in
+    List.iter
+      (fun (branching, lazy_) ->
+        let ctx =
+          Process.make_keyed_ctx ?pool ?dense_threshold:(Option.map (fun _ -> 1) pool) g ~master
+        in
+        let check what expect next =
+          let name s =
+            Printf.sprintf "%s, %s%s: %s %s" label (branching_name branching)
+              (if lazy_ then " lazy" else "") what s
+          in
+          check_bool (name "set") true (Bitset.equal expect next);
+          check_int (name "cardinal") (Bitset.cardinal expect) (Bitset.cardinal next)
+        in
+        let next = Bitset.create (Graph.n g) in
+        (* A stale [next] must not leak into the round. *)
+        Bitset.fill next;
+        Process.bips_step_keyed g ctx ~round ~branching ~lazy_ ~source ~current ~next;
+        check "bips"
+          (reference_round g ~master ~round ~branching ~lazy_ ~source:(Some source) ~current)
+          next;
+        Process.sis_step_keyed g ctx ~round ~branching ~lazy_ ~current ~next;
+        check "sis" (reference_round g ~master ~round ~branching ~lazy_ ~source:None ~current) next)
+      variants
+  in
+  let hit = Hashtbl.create 8 in
+  let run ?pool cname =
+    List.iter
+      (fun (gname, g0) ->
+        List.iter
+          (fun (sname, storage) ->
+            let g = storage g0 in
+            List.iteri
+              (fun fi current ->
+                let r = regime g current in
+                Hashtbl.replace hit (gname, r) ();
+                let label =
+                  Printf.sprintf "%s %s frontier %d (%s, |A|=%d), %s" gname sname fi
+                    (regime_name r) (Bitset.cardinal current) cname
+                in
+                check_rounds ?pool ~label g current ~master:(1000 + fi))
+              (frontiers (Graph.n g)))
+          storages)
+      graphs
+  in
+  run "no pool";
+  List.iter
+    (fun width -> with_width width (fun pool -> run ~pool (Printf.sprintf "%d worker(s)" width)))
+    pool_widths;
+  (* The frontiers must reach every regime on the hub-heavy and the
+     regular graph (a star has no full rounds: its hub is in A or not). *)
+  List.iter
+    (fun (gname, regimes) ->
+      List.iter
+        (fun r ->
+          check_bool
+            (Printf.sprintf "%s frontiers reach the %s regime" gname (regime_name r))
+            true (Hashtbl.mem hit (gname, r)))
+        regimes)
+    [
+      ("star", [ `Sparse; `Late ]);
+      ("ba:4", [ `Sparse; `Late; `Full ]);
+      ("hypercube d=8", [ `Sparse; `Late; `Full ]);
+    ]
+
+let test_isolated_vertex_raises () =
+  (* Vertex 4 is isolated: its neighbour draw has no bound.  A graph with
+     an isolated vertex always takes the full scan, whose draw for that
+     vertex raises, whatever the frontier. *)
+  let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2); (2, 3) ] in
+  List.iter
+    (fun members ->
+      let current = Bitset.of_list 5 members in
+      let next = Bitset.create 5 in
+      let ctx = Process.make_keyed_ctx g ~master:3 in
+      let raises name f =
+        match f () with
+        | () ->
+            Alcotest.failf "%s on {%s}: no exception" name
+              (String.concat "," (List.map string_of_int members))
+        | exception Invalid_argument _ -> ()
+      in
+      raises "bips" (fun () ->
+          Process.bips_step_keyed g ctx ~round:1 ~branching:(Process.Fixed 2) ~lazy_:false
+            ~source:0 ~current ~next);
+      raises "sis" (fun () ->
+          Process.sis_step_keyed g ctx ~round:1 ~branching:(Process.Fixed 2) ~lazy_:false ~current
+            ~next))
+    [ [ 0 ]; [ 0; 1; 2; 3 ] ]
+
 (* --- Sequential mode unaffected --- *)
 
 let test_sequential_ignores_pool () =
@@ -530,6 +706,8 @@ let () =
           Alcotest.test_case "threshold boundary" `Quick test_dense_threshold_boundary;
           Alcotest.test_case "raw writes recount" `Quick test_raw_writes_recount;
           Alcotest.test_case "scan last-shard edge" `Quick test_scan_last_shard_edge;
+          Alcotest.test_case "local rounds vs reference" `Quick test_local_rounds_match_reference;
+          Alcotest.test_case "isolated vertex raises" `Quick test_isolated_vertex_raises;
           Alcotest.test_case "sequential ignores pool" `Quick test_sequential_ignores_pool;
           Alcotest.test_case "engine" `Quick test_engine_keyed_invariance;
           Alcotest.test_case "matvec + eigen" `Quick test_matvec_pool_bit_identical;
