@@ -71,7 +71,12 @@ let run family file n trials seed source rho lazy_ trajectory phases domains key
   let keyed = not sequential in
   let g =
     match file with
-    | Some path -> Cobra_graph.Graph_io.read_file path
+    | Some path -> (
+        match Cobra_graph.Graph_io.read_file_result path with
+        | Ok g -> g
+        | Error msg ->
+            prerr_endline ("error: " ^ msg);
+            exit 2)
     | None -> Gen.by_name family ~n (Cobra_prng.Rng.create seed)
   in
   let branching = match rho with Some r -> Process.Bernoulli r | None -> Process.Fixed 2 in

@@ -84,7 +84,12 @@ let histogram_arg =
 
 let load_graph family file n seed =
   match file with
-  | Some path -> Cobra_graph.Graph_io.read_file path
+  | Some path -> (
+      match Cobra_graph.Graph_io.read_file_result path with
+      | Ok g -> g
+      | Error msg ->
+          prerr_endline ("error: " ^ msg);
+          exit 2)
   | None -> Gen.by_name family ~n (Cobra_prng.Rng.create seed)
 
 let run family file n trials seed b rho lazy_ start max_rounds domains keyed sequential

@@ -1,7 +1,7 @@
 (* cobra-graph-tool: generate, inspect, ingest and export graphs.
 
    Examples:
-     cobra-graph-tool gen --family hypercube -n 256 -o cube.graph
+     cobra-graph-tool generate --family hypercube -n 256 -o cube.graph
      cobra-graph-tool info cube.graph
      cobra-graph-tool info --family lollipop -n 100 --spectral
      cobra-graph-tool dot --family petersen -n 10
@@ -39,9 +39,18 @@ let spectral_arg =
   let doc = "Also compute lambda, the lazy gap and a conductance estimate." in
   Arg.(value & flag & info [ "spectral" ] ~doc)
 
-let obtain file family n seed =
+(* A malformed graph file is bad input, not a crash: one line on stderr
+   and exit 2. *)
+let load ?mmap path =
+  match Graph_io.read_file_result ?mmap path with
+  | Ok g -> g
+  | Error msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 2
+
+let obtain ?mmap file family n seed =
   match file with
-  | Some path -> Graph_io.read_file path
+  | Some path -> load ?mmap path
   | None -> Gen.by_name family ~n (Cobra_prng.Rng.create seed)
 
 let emit output text =
@@ -56,26 +65,13 @@ let emit output text =
    subcommand's text format flags; [Graph_io.write_file] dispatches. *)
 let is_cgr_output = function Some path -> Filename.check_suffix path ".cgr" | None -> false
 
-let gen_cmd =
-  let run family n seed output =
-    let g = Gen.by_name family ~n (Cobra_prng.Rng.create seed) in
-    if is_cgr_output output then begin
-      let path = Option.get output in
-      Graph_io.write_file path g;
-      Printf.printf "wrote %s\n" path
-    end
-    else emit output (Graph_io.to_string g)
-  in
-  Cmd.v
-    (Cmd.info "gen" ~doc:"Generate a graph and write it as an edge list (or .cgr binary)")
-    Term.(const run $ family_arg $ n_arg $ seed_arg $ output_arg)
-
 let info_cmd =
   let run file family n seed spectral =
-    let g = obtain file family n seed in
+    (* The validating eager loader: [info] is O(n + m) anyway, and it
+       must never print stats for a corrupt .cgr. *)
+    let g = obtain ~mmap:false file family n seed in
     Format.printf "%a@." Graph.pp_stats g;
-    Format.printf "storage: %s, %d bytes (%.2f bytes/entry)@."
-      (if Graph.is_packed g then "packed int32" else "boxed")
+    Format.printf "storage: packed int32, %d bytes (%.2f bytes/entry)@."
       (Graph.storage_bytes g)
       (float_of_int (Graph.storage_bytes g) /. float_of_int (max 1 (2 * Graph.m g)));
     Format.printf "connected: %b, bipartite: %b@." (Props.is_connected g) (Props.is_bipartite g);
@@ -193,19 +189,25 @@ let with_input file f =
 let ingest_cmd =
   let run file format remap strict eager giant output =
     let timer = Cobra_obs.Timer.start () in
+    let parse ic =
+      match format with
+      | `Snap ->
+          if eager then begin
+            Printf.eprintf "ingest: --eager applies to --format cobra only\n";
+            exit 2
+          end;
+          let g, s = Graph_io.read_stream_stats ~remap ~drop_self_loops:(not strict) ic in
+          (g, Some s)
+      | `Cobra ->
+          if eager then (Graph_io.of_string (In_channel.input_all ic), None)
+          else (Graph_io.read_channel ic, None)
+    in
     let g, stats =
-      with_input file (fun ic ->
-          match format with
-          | `Snap ->
-              if eager then begin
-                Printf.eprintf "ingest: --eager applies to --format cobra only\n";
-                exit 2
-              end;
-              let g, s = Graph_io.read_stream_stats ~remap ~drop_self_loops:(not strict) ic in
-              (g, Some s)
-          | `Cobra ->
-              if eager then (Graph_io.of_string (In_channel.input_all ic), None)
-              else (Graph_io.read_channel ic, None))
+      match with_input file parse with
+      | r -> r
+      | exception (Failure msg | Sys_error msg) ->
+          Printf.eprintf "error: %s: %s\n" file msg;
+          exit 2
     in
     let g = if giant then Props.largest_component g else g in
     let elapsed = Cobra_obs.Timer.elapsed_s timer in
@@ -258,8 +260,7 @@ let pack_cmd =
       let same h =
         Graph.n h = Graph.n g
         && Graph.m h = Graph.m g
-        && Graph.csr_offsets h = Graph.csr_offsets g
-        && Graph.csr_adjacency h = Graph.csr_adjacency g
+        && Graph.csr h = Graph.csr g
       in
       let eager = Cobra_graph.Cgr.read_eager output in
       let mapped = Cobra_graph.Cgr.read_mmap output in
@@ -377,6 +378,6 @@ let main_cmd =
   let doc = "Generate and inspect the graph families used by the COBRA experiments" in
   Cmd.group
     (Cmd.info "cobra-graph-tool" ~version:"1.0.0" ~doc)
-    [ gen_cmd; info_cmd; dot_cmd; spectral_cmd; ingest_cmd; generate_cmd; pack_cmd ]
+    [ info_cmd; dot_cmd; spectral_cmd; ingest_cmd; generate_cmd; pack_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

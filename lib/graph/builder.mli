@@ -16,7 +16,8 @@
     - [create ()] grows the vertex set to [1 + max endpoint seen] — the
       mode the SNAP ingester uses when the input carries no header.
 
-    Vertex ids must be below [2^31] (edges are packed two-per-word). *)
+    Vertex ids must be below [2^31] (edges are packed one per word), and
+    the finished graph must fit the int32 storage of {!Graph.t}. *)
 
 type t
 
@@ -45,13 +46,11 @@ val finish : t -> Graph.t
 (** [finish b] counting-sorts the buffered edges into a CSR graph and
     consumes the builder.  The CSR values are identical (same offsets
     and adjacency sequences) to [Graph.of_edge_array] over the same
-    edges; when the directed entry count and vertex count both fit
-    [2^31 - 1] — always, given the id limit, unless the deduplicated
-    graph has 2^30+ edges — the result uses packed int32 storage
-    ([Graph.is_packed]), scattered and slice-sorted directly in the
-    int32 bigarray so no boxed copy of the adjacency ever exists and
-    peak memory stays ~2 words per edge.
-    @raise Invalid_argument if called twice. *)
+    edges: both run {!Graph.unsafe_of_edge_keys}, which scatters and
+    slice-sorts directly into the int32 storage, so peak memory stays
+    ~2 words per edge.
+    @raise Invalid_argument if called twice, or if the vertex count or
+    the deduplicated directed entry count exceeds [2^31 - 1]. *)
 
 val of_edge_seq : ?n:int -> (int * int) Seq.t -> Graph.t
 (** [of_edge_seq ?n seq] folds a sequence of edges through a fresh

@@ -8,8 +8,7 @@
     makes the mmap loader possible.
 
     Three access paths:
-    - {!write} streams a graph (either storage) out in O(1) extra
-      memory;
+    - {!write} streams a graph out in O(1) extra memory;
     - {!read_eager} loads into fresh heap bigarrays with full O(n + m)
       structural validation;
     - {!read_mmap} maps the file read-only and returns a graph whose
@@ -31,10 +30,9 @@ exception Bad_file of string
 
 val write : string -> Graph.t -> unit
 (** [write path g] serialises [g].  Streams through a fixed 64 KiB
-    buffer — no second copy of the graph is materialised.
-    @raise Invalid_argument if [n] or [2 m] exceeds [2^31 - 1] (the
-    payload is int32).
-    @raise Failure on a big-endian host. *)
+    buffer — no second copy of the graph is materialised.  Every graph
+    fits the int32 payload ({!Graph} refuses larger ones).
+    @raise Bad_file on a big-endian host. *)
 
 val read_eager : string -> Graph.t
 (** [read_eager path] loads the whole file into fresh packed storage

@@ -263,7 +263,7 @@ let random_regular ~n ~r ?(switches_per_edge = 30) ?(ensure_connected = true) rn
     done
   in
   run_switches (switches_per_edge * m);
-  let build () = Graph.of_edge_array ~n (Array.copy edge_arr) in
+  let build () = Graph.of_edge_array ~n edge_arr in
   if not ensure_connected then build ()
   else begin
     let rec go tries g =

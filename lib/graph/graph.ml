@@ -2,70 +2,68 @@ module A1 = Bigarray.Array1
 
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
-(* Two physical layouts behind one accessor surface:
+(* One physical layout: C-layout int32 bigarrays, 4 bytes per entry, so
+   the adjacency of an m-edge graph costs 8m bytes, and the storage can
+   be backed by [Unix.map_file] so multi-GiB graphs open in O(1) and
+   page in on demand (see {!Cgr}).  Loads compile to an unboxed 32-bit
+   read + sign extension, allocation-free.
 
-   - [Boxed]: the historical representation, plain OCaml [int array]s —
-     8 bytes per entry, ~16 bytes per undirected edge for [adj].
-   - [Packed]: C-layout int32 bigarrays — 4 bytes per entry, so the
-     adjacency of an m-edge graph costs 8m bytes instead of 16m, and
-     the storage can be backed by [Unix.map_file] so multi-GiB graphs
-     open in O(1) and page in on demand (see {!Cgr}).
-
-   Every accessor branches on the storage once; the branch is perfectly
-   predicted (a graph never changes representation in place) and the
-   packed loads compile to an unboxed 32-bit read + sign extension —
-   measured allocation-free and at parity-or-better with the boxed path
-   (bandwidth halves, which is what the adjacency-scan kernels are
-   bound on; see the repr: bench rows).
-
-   Packing requires every stored value to fit in an int32: vertex ids
-   (adj entries) and offsets (bounded by 2m) must be < 2^31.  Graphs
-   beyond that stay boxed. *)
-type storage =
-  | Boxed of { offsets : int array; adj : int array }
-  | Packed of { offsets : int32_array; adj : int32_array }
-
-type t = { n : int; m : int; storage : storage }
+   Every stored value must fit in an int32: vertex ids (adj entries)
+   and offsets (bounded by 2m) must be < 2^31.  Larger graphs are
+   refused with [Invalid_argument] (see [check_fits]). *)
+type csr = { offsets : int32_array; adj : int32_array }
+type t = { n : int; m : int; offsets : int32_array; adj : int32_array }
 
 let n t = t.n
 let m t = t.m
-let is_packed t = match t.storage with Boxed _ -> false | Packed _ -> true
+let is_packed (_ : t) = true
 
-(* Largest value representable in the packed storage. *)
+(* Largest value representable in the int32 storage. *)
 let max_packed = Int32.to_int Int32.max_int
+
+let check_fits ~n ~entries =
+  if n > max_packed || entries > max_packed then
+    invalid_arg
+      (Printf.sprintf "Graph: graph too large for int32 CSR storage (n=%d, 2m=%d, limit %d)" n
+         entries max_packed)
 
 let check_vertex t u =
   if u < 0 || u >= t.n then
     invalid_arg (Printf.sprintf "Graph: vertex %d out of range [0, %d)" u t.n)
 
-let of_edge_array ~n edges =
-  if n < 0 then invalid_arg "Graph.of_edge_array: negative n";
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg
-          (Printf.sprintf "Graph.of_edge_array: edge (%d, %d) out of range [0, %d)" u v n);
-      if u = v then
-        invalid_arg (Printf.sprintf "Graph.of_edge_array: self-loop at %d" u))
-    edges;
-  (* Normalise each edge to a single packed int (min * n + max): integer
-     sorting and deduplication are several times faster than sorting
-     tuples through the polymorphic comparator, which matters when
-     building graphs with millions of edges. *)
-  let packed = Array.map (fun (u, v) -> if u < v then (u * n) + v else (v * n) + u) edges in
-  Array.sort Int.compare packed;
-  let raw = Array.length packed in
-  let m = ref 0 in
-  for i = 0 to raw - 1 do
-    if i = 0 || packed.(i) <> packed.(i - 1) then begin
-      packed.(!m) <- packed.(i);
-      incr m
-    end
-  done;
-  let m = !m in
+(* Trusted constructor for the .cgr loaders: the caller guarantees the
+   CSR invariants (offsets monotone with offsets.(n) = 2m, every slice
+   sorted and duplicate-free, edges symmetric, no self-loops).  Only
+   the cheap length consistency is re-checked here — re-validating the
+   structure would cost the O(m) pass this constructor exists to
+   avoid. *)
+let unsafe_of_packed_csr ~n ~m ~offsets ~adj =
+  if n < 0 || m < 0 || A1.dim offsets <> n + 1
+     || Int32.to_int (A1.get offsets n) <> 2 * m
+     || A1.dim adj <> 2 * m
+  then invalid_arg "Graph.unsafe_of_packed_csr: inconsistent CSR arrays";
+  { n; m; offsets; adj }
+
+(* --- Construction by counting sort ---
+
+   Edges arrive packed one per word as [(u lsl 31) lor v].  One pass
+   counts degrees, a prefix sum turns them into offsets, one pass
+   scatters both directions straight into the int32 adjacency, then
+   each slice is sorted and deduplicated in place (the write pointer
+   never overtakes the read position because compaction only ever
+   shrinks earlier slices).  Peak memory is the edge buffer (1 word per
+   edge) plus the int32 adjacency (1 word-equivalent per edge) plus
+   O(n) counters.  Sorted integer slices are unique, so the CSR values
+   do not depend on the order the edges arrive in. *)
+
+let edge_mask = (1 lsl 31) - 1
+
+let unsafe_of_edge_keys ~n ~count keys =
+  check_fits ~n ~entries:0;
   let deg = Array.make (max n 1) 0 in
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
+  for k = 0 to count - 1 do
+    let p = Array.unsafe_get keys k in
+    let u = p lsr 31 and v = p land edge_mask in
     deg.(u) <- deg.(u) + 1;
     deg.(v) <- deg.(v) + 1
   done;
@@ -73,106 +71,76 @@ let of_edge_array ~n edges =
   for u = 0 to n - 1 do
     offsets.(u + 1) <- offsets.(u) + deg.(u)
   done;
-  let adj = Array.make (2 * m) 0 in
-  let cursor = Array.copy offsets in
-  (* The packed array is sorted lexicographically by (u, v), so writing
-     in order leaves every u-slice already sorted on the u side; the
-     v-side entries arrive in increasing u as well, keeping all slices
-     sorted without a per-slice sort. *)
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
-    adj.(cursor.(u)) <- v;
-    cursor.(u) <- cursor.(u) + 1
+  let adj = A1.create Bigarray.int32 Bigarray.c_layout (2 * count) in
+  (* Reuse [deg] as the scatter cursor to avoid a second O(n) array. *)
+  Array.blit offsets 0 deg 0 n;
+  for k = 0 to count - 1 do
+    let p = Array.unsafe_get keys k in
+    let u = p lsr 31 and v = p land edge_mask in
+    A1.unsafe_set adj deg.(u) (Int32.of_int v);
+    deg.(u) <- deg.(u) + 1;
+    A1.unsafe_set adj deg.(v) (Int32.of_int u);
+    deg.(v) <- deg.(v) + 1
   done;
-  (* Second pass for the reverse direction: iterate sorted edges again;
-     for each v the incoming u values appear in increasing order, but
-     they must be merged with the forward entries, so a final per-slice
-     sort is still needed — in place, no per-vertex temporary. *)
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
-    adj.(cursor.(v)) <- u;
-    cursor.(v) <- cursor.(v) + 1
-  done;
+  let write = ref 0 in
   for u = 0 to n - 1 do
-    Int_sort.sort_range adj ~lo:offsets.(u) ~hi:offsets.(u + 1)
+    let lo = offsets.(u) and hi = offsets.(u + 1) in
+    offsets.(u) <- !write;
+    if hi > lo then begin
+      Int_sort.sort_int32_range adj ~lo ~hi;
+      A1.unsafe_set adj !write (A1.unsafe_get adj lo);
+      incr write;
+      for i = lo + 1 to hi - 1 do
+        let x = A1.unsafe_get adj i in
+        if x <> A1.unsafe_get adj (i - 1) then begin
+          A1.unsafe_set adj !write x;
+          incr write
+        end
+      done
+    end
   done;
-  { n; m; storage = Boxed { offsets; adj } }
+  let total = !write in
+  offsets.(n) <- total;
+  check_fits ~n ~entries:total;
+  (* [Array1.sub] is a zero-copy view, so trimming the dedup slack does
+     not reallocate the adjacency. *)
+  let adj = if total = A1.dim adj then adj else A1.sub adj 0 total in
+  let poffsets = A1.create Bigarray.int32 Bigarray.c_layout (n + 1) in
+  for i = 0 to n do
+    A1.unsafe_set poffsets i (Int32.of_int (Array.unsafe_get offsets i))
+  done;
+  { n; m = total / 2; offsets = poffsets; adj }
+
+let of_edge_array ~n edges =
+  if n < 0 then invalid_arg "Graph.of_edge_array: negative n";
+  let keys =
+    Array.map
+      (fun (u, v) ->
+        if u < 0 || u >= n || v < 0 || v >= n then
+          invalid_arg
+            (Printf.sprintf "Graph.of_edge_array: edge (%d, %d) out of range [0, %d)" u v n);
+        if u = v then invalid_arg (Printf.sprintf "Graph.of_edge_array: self-loop at %d" u);
+        (u lsl 31) lor v)
+      edges
+  in
+  unsafe_of_edge_keys ~n ~count:(Array.length keys) keys
 
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
-(* Trusted constructors for Builder.finish and the .cgr loaders: the
-   caller guarantees the CSR invariants (offsets monotone with
-   offsets.(n) = 2m, every slice sorted and duplicate-free, edges
-   symmetric, no self-loops).  Only the cheap length consistency is
-   re-checked here — re-validating the structure would cost the O(m)
-   pass these constructors exist to avoid. *)
-let unsafe_of_csr ~n ~m ~offsets ~adj =
-  if n < 0 || m < 0 || Array.length offsets <> n + 1 || offsets.(n) <> 2 * m
-     || Array.length adj <> 2 * m
-  then invalid_arg "Graph.unsafe_of_csr: inconsistent CSR arrays";
-  { n; m; storage = Boxed { offsets; adj } }
+let storage_bytes t = 4 * (A1.dim t.offsets + A1.dim t.adj)
 
-let unsafe_of_packed_csr ~n ~m ~offsets ~adj =
-  if n < 0 || m < 0 || A1.dim offsets <> n + 1
-     || Int32.to_int (A1.get offsets n) <> 2 * m
-     || A1.dim adj <> 2 * m
-  then invalid_arg "Graph.unsafe_of_packed_csr: inconsistent CSR arrays";
-  { n; m; storage = Packed { offsets; adj } }
+(* --- Accessors --- *)
 
-(* --- Representation conversion --- *)
-
-let pack t =
-  match t.storage with
-  | Packed _ -> t
-  | Boxed { offsets; adj } ->
-      if 2 * t.m > max_packed || t.n > max_packed then
-        invalid_arg
-          (Printf.sprintf
-             "Graph.pack: graph too large for int32 storage (n=%d, 2m=%d, limit %d)" t.n
-             (2 * t.m) max_packed);
-      let po = A1.create Bigarray.int32 Bigarray.c_layout (t.n + 1) in
-      for i = 0 to t.n do
-        A1.unsafe_set po i (Int32.of_int (Array.unsafe_get offsets i))
-      done;
-      let pa = A1.create Bigarray.int32 Bigarray.c_layout (2 * t.m) in
-      for i = 0 to (2 * t.m) - 1 do
-        A1.unsafe_set pa i (Int32.of_int (Array.unsafe_get adj i))
-      done;
-      { t with storage = Packed { offsets = po; adj = pa } }
-
-let to_boxed t =
-  match t.storage with
-  | Boxed _ -> t
-  | Packed { offsets; adj } ->
-      let bo = Array.init (t.n + 1) (fun i -> Int32.to_int (A1.unsafe_get offsets i)) in
-      let ba = Array.init (2 * t.m) (fun i -> Int32.to_int (A1.unsafe_get adj i)) in
-      { t with storage = Boxed { offsets = bo; adj = ba } }
-
-let storage_bytes t =
-  match t.storage with
-  | Boxed { offsets; adj } -> 8 * (Array.length offsets + Array.length adj)
-  | Packed { offsets; adj } -> 4 * (A1.dim offsets + A1.dim adj)
-
-(* --- Accessors ---
-
-   Each hot accessor carries its own single match so the whole access
-   path (offset loads, adjacency load, int32 widening) inlines into the
-   kernel loop with one predicted branch and no closure. *)
-
-let degree t u =
-  check_vertex t u;
-  match t.storage with
-  | Boxed { offsets; _ } -> offsets.(u + 1) - offsets.(u)
-  | Packed { offsets; _ } -> Int32.to_int (A1.get offsets (u + 1)) - Int32.to_int (A1.get offsets u)
+let[@inline] offset t u = Int32.to_int (A1.unsafe_get t.offsets u)
 
 (* [degree] without the vertex-range check — the companion of
    [unsafe_neighbor] for kernels that draw many indices below the same
    degree and hoist the rejection mask across the fan-out. *)
-let[@inline] unsafe_degree t u =
-  match t.storage with
-  | Boxed { offsets; _ } -> Array.unsafe_get offsets (u + 1) - Array.unsafe_get offsets u
-  | Packed { offsets; _ } ->
-      Int32.to_int (A1.unsafe_get offsets (u + 1)) - Int32.to_int (A1.unsafe_get offsets u)
+let[@inline] unsafe_degree t u = offset t (u + 1) - offset t u
+
+let degree t u =
+  check_vertex t u;
+  unsafe_degree t u
 
 let max_degree t =
   let best = ref 0 in
@@ -197,11 +165,7 @@ let is_regular t = t.n <= 1 || max_degree t = min_degree t
 
 (* [neighbor] without the vertex/index checks, for inner loops whose
    indices come from [int_below (degree u)]. *)
-let[@inline] unsafe_neighbor t u i =
-  match t.storage with
-  | Boxed { offsets; adj } -> Array.unsafe_get adj (Array.unsafe_get offsets u + i)
-  | Packed { offsets; adj } ->
-      Int32.to_int (A1.unsafe_get adj (Int32.to_int (A1.unsafe_get offsets u) + i))
+let[@inline] unsafe_neighbor t u i = Int32.to_int (A1.unsafe_get t.adj (offset t u + i))
 
 let neighbor t u i =
   check_vertex t u;
@@ -216,56 +180,31 @@ let neighbor t u i =
    [int_below] as [random_neighbor].  An isolated vertex makes
    [int_below] raise on 0. *)
 let[@inline] unsafe_random_neighbor t rng u =
-  match t.storage with
-  | Boxed { offsets; adj } ->
-      let lo = Array.unsafe_get offsets u in
-      let d = Array.unsafe_get offsets (u + 1) - lo in
-      Array.unsafe_get adj (lo + Cobra_prng.Rng.int_below rng d)
-  | Packed { offsets; adj } ->
-      let lo = Int32.to_int (A1.unsafe_get offsets u) in
-      let d = Int32.to_int (A1.unsafe_get offsets (u + 1)) - lo in
-      Int32.to_int (A1.unsafe_get adj (lo + Cobra_prng.Rng.int_below rng d))
+  let lo = offset t u in
+  Int32.to_int (A1.unsafe_get t.adj (lo + Cobra_prng.Rng.int_below rng (offset t (u + 1) - lo)))
 
 (* Keyed-draw twin of [unsafe_random_neighbor]: same addressing, the
    index comes from a counter-based stream instead of the sequential
    one, so sharded step kernels can call it from any domain. *)
 let[@inline] unsafe_keyed_neighbor t k u =
-  match t.storage with
-  | Boxed { offsets; adj } ->
-      let lo = Array.unsafe_get offsets u in
-      let d = Array.unsafe_get offsets (u + 1) - lo in
-      Array.unsafe_get adj (lo + Cobra_prng.Keyed.int_below k d)
-  | Packed { offsets; adj } ->
-      let lo = Int32.to_int (A1.unsafe_get offsets u) in
-      let d = Int32.to_int (A1.unsafe_get offsets (u + 1)) - lo in
-      Int32.to_int (A1.unsafe_get adj (lo + Cobra_prng.Keyed.int_below k d))
+  let lo = offset t u in
+  Int32.to_int (A1.unsafe_get t.adj (lo + Cobra_prng.Keyed.int_below k (offset t (u + 1) - lo)))
 
 let random_neighbor t rng u =
   check_vertex t u;
-  let d = unsafe_degree t u in
-  if d = 0 then invalid_arg (Printf.sprintf "Graph.random_neighbor: vertex %d is isolated" u);
+  if unsafe_degree t u = 0 then
+    invalid_arg (Printf.sprintf "Graph.random_neighbor: vertex %d is isolated" u);
   unsafe_random_neighbor t rng u
 
 let neighbors t u =
   check_vertex t u;
-  match t.storage with
-  | Boxed { offsets; adj } -> Array.sub adj offsets.(u) (offsets.(u + 1) - offsets.(u))
-  | Packed { offsets; adj } ->
-      let lo = Int32.to_int (A1.get offsets u) in
-      let d = Int32.to_int (A1.get offsets (u + 1)) - lo in
-      Array.init d (fun i -> Int32.to_int (A1.unsafe_get adj (lo + i)))
+  Array.init (unsafe_degree t u) (unsafe_neighbor t u)
 
 let iter_neighbors t u f =
   check_vertex t u;
-  match t.storage with
-  | Boxed { offsets; adj } ->
-      for i = offsets.(u) to offsets.(u + 1) - 1 do
-        f (Array.unsafe_get adj i)
-      done
-  | Packed { offsets; adj } ->
-      for i = Int32.to_int (A1.get offsets u) to Int32.to_int (A1.get offsets (u + 1)) - 1 do
-        f (Int32.to_int (A1.unsafe_get adj i))
-      done
+  for i = offset t u to offset t (u + 1) - 1 do
+    f (Int32.to_int (A1.unsafe_get t.adj i))
+  done
 
 let fold_neighbors t u f init =
   check_vertex t u;
@@ -304,35 +243,11 @@ let degree_of_set t s =
 
 let total_degree t = 2 * t.m
 
-(* --- Flat CSR access for the float kernels ---
-
-   The blocked matvec and the CG hitting-time solver stream the raw CSR
-   arrays without per-edge closure calls; [csr] hands them the storage
-   as a one-shot match so each solver can compile a specialised gather
-   loop per representation.  The arrays are the graph's own storage,
-   shared, and must not be mutated. *)
-
-type csr =
-  | Csr_boxed of { offsets : int array; adj : int array }
-  | Csr_packed of { offsets : int32_array; adj : int32_array }
-
-let csr t =
-  match t.storage with
-  | Boxed { offsets; adj } -> Csr_boxed { offsets; adj }
-  | Packed { offsets; adj } -> Csr_packed { offsets; adj }
-
-(* Back-compat materialising accessors: zero-copy on boxed graphs, a
-   fresh widened copy on packed ones (tests and tools only; the solvers
-   use [csr]). *)
-let csr_offsets t =
-  match t.storage with
-  | Boxed { offsets; _ } -> offsets
-  | Packed { offsets; _ } -> Array.init (t.n + 1) (fun i -> Int32.to_int (A1.unsafe_get offsets i))
-
-let csr_adjacency t =
-  match t.storage with
-  | Boxed { adj; _ } -> adj
-  | Packed { adj; _ } -> Array.init (2 * t.m) (fun i -> Int32.to_int (A1.unsafe_get adj i))
+(* The blocked matvec, the CG hitting-time solver and the .cgr writer
+   stream the raw CSR arrays without per-edge closure calls.  The
+   arrays are the graph's own storage, shared, and must not be
+   mutated. *)
+let csr (t : t) : csr = { offsets = t.offsets; adj = t.adj }
 
 let pp_stats ppf t =
   Format.fprintf ppf "n=%d m=%d deg=[%d..%d]%s" t.n t.m (min_degree t) (max_degree t)

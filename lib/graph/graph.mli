@@ -9,13 +9,11 @@
     every edge [(u, v)] appears in both adjacency slices.  Construction
     deduplicates and validates.
 
-    Two physical storages exist behind the same accessor surface:
-    {e boxed} (plain [int array]s, 8 bytes per CSR entry) and {e packed}
-    (C-layout int32 bigarrays, 4 bytes per entry — half the bandwidth
-    per neighbour read, and mmap-able from a {!Cgr} file).  Packing
-    requires [n] and [2 m] below [2^31].  Every accessor behaves
-    identically on both: for a fixed seed, every simulation result is
-    bit-identical whichever storage the graph uses. *)
+    The CSR lives in C-layout int32 bigarrays, 4 bytes per entry, which
+    a {!Cgr} file can back by [mmap].  Every stored value must fit an
+    int32, so [n] and the deduplicated directed entry count [2 m] are
+    limited to [2^31 - 1]: every constructor refuses a larger graph
+    with [Invalid_argument] naming [n] and [2m]. *)
 
 type t
 
@@ -27,50 +25,41 @@ val of_edges : n:int -> (int * int) list -> t
     the given undirected edges.  Edge direction and duplicates are
     ignored; self-loops raise.
 
-    @raise Invalid_argument on [n < 0], endpoints out of range, or a
-    self-loop. *)
+    @raise Invalid_argument on [n < 0], endpoints out of range, a
+    self-loop, or [n] or [2 m] above [2^31 - 1]. *)
 
 val of_edge_array : n:int -> (int * int) array -> t
 (** Array analogue of {!of_edges}. *)
 
-val unsafe_of_csr : n:int -> m:int -> offsets:int array -> adj:int array -> t
-(** [unsafe_of_csr ~n ~m ~offsets ~adj] wraps pre-built CSR arrays
-    without structural validation — the constructor behind
-    {!Builder.finish}'s boxed fallback, which establishes the
-    invariants itself.  The caller must guarantee: [offsets] has length
-    [n + 1], is monotone with [offsets.(n) = 2 * m]; [adj] has length
-    [2 * m]; every slice is sorted and duplicate-free; edges are
-    symmetric with no self-loops.  Violating these is undefined
-    behaviour everywhere else in the library.  Only length consistency
-    is checked.
-    @raise Invalid_argument on inconsistent array lengths. *)
+val unsafe_of_edge_keys : n:int -> count:int -> int array -> t
+(** [unsafe_of_edge_keys ~n ~count keys] counting-sorts the undirected
+    edges [keys.(0) .. keys.(count - 1)], each packed as
+    [(u lsl 31) lor v], into a CSR graph: duplicates (in either
+    orientation) are merged and every slice is sorted.  The routine
+    behind {!of_edge_array} and {!Builder.finish}.  The caller
+    guarantees [0 <= u, v < n] and [u <> v] for every key; violating
+    that is undefined behaviour.  [keys] is only read.
+    @raise Invalid_argument if [n] or the deduplicated [2 m] exceeds
+    [2^31 - 1]. *)
 
 val unsafe_of_packed_csr :
   n:int -> m:int -> offsets:int32_array -> adj:int32_array -> t
-(** Packed twin of {!unsafe_of_csr}: wraps int32 bigarray CSR storage
-    (possibly mmap-backed) under the same invariants and the same
-    trust model.  Only length consistency and [offsets.(n) = 2 m] are
-    checked.
+(** [unsafe_of_packed_csr ~n ~m ~offsets ~adj] wraps int32 bigarray CSR
+    storage (possibly mmap-backed) without structural validation — the
+    constructor behind the {!Cgr} loaders.  The caller must guarantee:
+    [offsets] has length [n + 1], is monotone with [offsets.(n) = 2 m];
+    [adj] has length [2 m]; every slice is sorted and duplicate-free;
+    edges are symmetric with no self-loops.  Violating these is
+    undefined behaviour everywhere else in the library.  Only length
+    consistency and [offsets.(n) = 2 m] are checked.
     @raise Invalid_argument on inconsistent dimensions. *)
 
-val pack : t -> t
-(** [pack g] is [g] with its CSR storage converted to packed int32
-    bigarrays (4 bytes per entry); the identity if [g] is already
-    packed.  The result is observationally identical to [g] through
-    every accessor.
-    @raise Invalid_argument if [n] or [2 m] exceeds [2^31 - 1]. *)
-
-val to_boxed : t -> t
-(** [to_boxed g] is [g] with boxed [int array] storage; the identity if
-    [g] is already boxed.  Materialises fresh arrays for a packed [g]
-    (including an mmap-backed one — the copy lives in the heap). *)
-
 val is_packed : t -> bool
-(** [true] iff the CSR storage is packed int32. *)
+(** Always [true]: the CSR storage is packed int32.  Kept for callers
+    that report the storage. *)
 
 val storage_bytes : t -> int
-(** Bytes held by the CSR arrays ([offsets] plus [adj]): 8 per entry
-    boxed, 4 packed.  Divide by [2 * m] for bytes per directed
+(** Bytes held by the CSR arrays ([offsets] plus [adj]), 4 per entry.  Divide by [2 * m] for bytes per directed
     adjacency entry — the number the ingest bench rows report. *)
 
 val n : t -> int
@@ -148,29 +137,15 @@ val degree_of_set : t -> Cobra_bitset.Bitset.t -> int
 val total_degree : t -> int
 (** [total_degree g = 2 * m g]. *)
 
-type csr =
-  | Csr_boxed of { offsets : int array; adj : int array }
-  | Csr_packed of { offsets : int32_array; adj : int32_array }
-      (** The raw CSR arrays in whichever storage the graph uses: the
-          neighbours of [u] live at [adj.(offsets.(u)) ..
-          adj.(offsets.(u + 1) - 1)].  Shared storage, must not be
-          mutated. *)
+type csr = { offsets : int32_array; adj : int32_array }
+(** The raw CSR arrays: the neighbours of [u] live at
+    [adj.{offsets.{u}} .. adj.{offsets.{u + 1} - 1}].  Shared storage,
+    must not be mutated. *)
 
 val csr : t -> csr
-(** One-shot view of the CSR storage, so flat kernels (blocked matvec,
-    CG solvers) can match once and stream a specialised loop per
-    representation without per-edge closure calls. *)
-
-val csr_offsets : t -> int array
-(** The CSR offset array (length [n + 1]) as an [int array]: the
-    graph's own storage (shared, must not be mutated) when boxed, a
-    fresh O(n) widened copy when packed.  Kernels should prefer {!csr};
-    this accessor remains for tests and tooling. *)
-
-val csr_adjacency : t -> int array
-(** The CSR adjacency array (length [2 m], each slice sorted) as an
-    [int array]: shared storage when boxed, a fresh O(m) widened copy
-    when packed.  Kernels should prefer {!csr}. *)
+(** View of the CSR storage, so flat kernels (blocked matvec, CG
+    solvers, the {!Cgr} writer) stream the arrays without per-edge
+    closure calls. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: n, m, degree range. *)

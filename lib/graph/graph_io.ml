@@ -263,3 +263,13 @@ let read_file ?(mmap = true) path =
     let ic = open_in path in
     Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
   end
+
+let read_file_result ?mmap path =
+  let located msg =
+    if String.starts_with ~prefix:(path ^ ":") msg then msg else path ^ ": " ^ msg
+  in
+  match read_file ?mmap path with
+  | g -> Ok g
+  | exception (Cgr.Bad_file msg | Failure msg | Sys_error msg | Invalid_argument msg) ->
+      Error (located msg)
+  | exception Unix.Unix_error (e, _, _) -> Error (located (Unix.error_message e))

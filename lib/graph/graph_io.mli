@@ -83,3 +83,9 @@ val read_file : ?mmap:bool -> string -> Graph.t
     text files the result is identical to reading the bytes through
     {!of_string}.
     @raise Sys_error / Failure / Cgr.Bad_file as appropriate. *)
+
+val read_file_result : ?mmap:bool -> string -> (Graph.t, string) result
+(** {!read_file} with its typed errors (malformed text, a malformed
+    [.cgr], an I/O error, a graph too large for {!Graph.t}) returned as
+    a one-line ["<path>: <reason>"] message, for front ends that report
+    bad input and exit cleanly instead of dying on an exception. *)

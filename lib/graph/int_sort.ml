@@ -1,109 +1,19 @@
-(* In-place range sorts for the CSR slice-sorting passes.
+(* In-place range sort for the CSR slice-sorting pass.
 
-   [Graph.of_edge_array] and [Builder.finish] both need "sort adjacency
-   entries [lo, hi) of this array" once per vertex.  [Array.sort] only
-   sorts whole arrays, and the obvious [Array.sub]/sort/[Array.blit]
-   dance allocates a temporary per vertex — millions of short-lived
-   arrays on a power-law graph.  These sorters work directly on the
-   range: introsort-style quicksort (median-of-three pivot, recursion on
+   [Graph.unsafe_of_edge_keys] (behind [Graph.of_edge_array] and
+   [Builder.finish]) needs "sort adjacency entries [lo, hi) of this
+   array" once per vertex.  [Array.sort] only sorts whole arrays, and
+   copying each slice out to sort it allocates a temporary per vertex
+   — millions of short-lived arrays on a power-law graph.  This sorter
+   works directly on the range: introsort-style quicksort (median-of-three pivot, recursion on
    the smaller side, insertion sort below a threshold, heapsort fallback
    past the depth budget so adversarial inputs stay O(n log n)).
 
    Sorted integer sequences are unique regardless of algorithm, so
    swapping the sorter cannot change any CSR array — all pinned goldens
-   are byte-identical by construction.
-
-   The same algorithm is instantiated twice, for [int array] and for
-   int32 [Bigarray] storage; a functor or first-class-module
-   indirection would put a closure call in the innermost compare/swap,
-   which is exactly what these loops exist to avoid. *)
+   are byte-identical by construction. *)
 
 let insertion_threshold = 16
-
-(* --- int array --- *)
-
-let[@inline] swap (a : int array) i j =
-  let t = Array.unsafe_get a i in
-  Array.unsafe_set a i (Array.unsafe_get a j);
-  Array.unsafe_set a j t
-
-let insertion a ~lo ~hi =
-  for i = lo + 1 to hi - 1 do
-    let x = Array.unsafe_get a i in
-    let j = ref (i - 1) in
-    while !j >= lo && Array.unsafe_get a !j > x do
-      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
-      decr j
-    done;
-    Array.unsafe_set a (!j + 1) x
-  done
-
-(* Binary max-heap over [lo, hi): the O(n log n) safety net. *)
-let heapsort a ~lo ~hi =
-  let len = hi - lo in
-  let sift root len =
-    let root = ref root in
-    let continue = ref true in
-    while !continue do
-      let child = (2 * !root) + 1 in
-      if child >= len then continue := false
-      else begin
-        let child =
-          if child + 1 < len
-             && Array.unsafe_get a (lo + child) < Array.unsafe_get a (lo + child + 1)
-          then child + 1
-          else child
-        in
-        if Array.unsafe_get a (lo + !root) < Array.unsafe_get a (lo + child) then begin
-          swap a (lo + !root) (lo + child);
-          root := child
-        end
-        else continue := false
-      end
-    done
-  in
-  for i = (len / 2) - 1 downto 0 do
-    sift i len
-  done;
-  for last = len - 1 downto 1 do
-    swap a lo (lo + last);
-    sift 0 last
-  done
-
-let rec quick a ~lo ~hi depth =
-  let lo = ref lo and hi = ref hi in
-  while !hi - !lo > insertion_threshold do
-    if depth = 0 then begin
-      heapsort a ~lo:!lo ~hi:!hi;
-      lo := !hi
-    end
-    else begin
-      (* Median of first/middle/last as the pivot, stashed at [lo]. *)
-      let mid = !lo + ((!hi - !lo) / 2) in
-      if Array.unsafe_get a mid < Array.unsafe_get a !lo then swap a mid !lo;
-      if Array.unsafe_get a (!hi - 1) < Array.unsafe_get a !lo then swap a (!hi - 1) !lo;
-      if Array.unsafe_get a mid < Array.unsafe_get a (!hi - 1) then swap a mid (!hi - 1);
-      let pivot = Array.unsafe_get a (!hi - 1) in
-      let i = ref !lo in
-      for j = !lo to !hi - 2 do
-        if Array.unsafe_get a j <= pivot then begin
-          swap a !i j;
-          incr i
-        end
-      done;
-      swap a !i (!hi - 1);
-      (* Recurse on the smaller side; loop on the larger. *)
-      if !i - !lo < !hi - !i - 1 then begin
-        quick a ~lo:!lo ~hi:!i (depth - 1);
-        lo := !i + 1
-      end
-      else begin
-        quick a ~lo:(!i + 1) ~hi:!hi (depth - 1);
-        hi := !i
-      end
-    end
-  done;
-  insertion a ~lo:!lo ~hi:!hi
 
 let depth_budget len =
   let d = ref 0 and n = ref len in
@@ -113,20 +23,14 @@ let depth_budget len =
   done;
   2 * !d
 
-let sort_range a ~lo ~hi =
-  if lo < 0 || hi > Array.length a || lo > hi then invalid_arg "Int_sort.sort_range";
-  if hi - lo > 1 then quick a ~lo ~hi (depth_budget (hi - lo))
-
-(* --- int32 bigarray --- *)
-
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let[@inline] bswap (a : int32_array) i j =
+let[@inline] swap (a : int32_array) i j =
   let t = Bigarray.Array1.unsafe_get a i in
   Bigarray.Array1.unsafe_set a i (Bigarray.Array1.unsafe_get a j);
   Bigarray.Array1.unsafe_set a j t
 
-let binsertion (a : int32_array) ~lo ~hi =
+let insertion (a : int32_array) ~lo ~hi =
   for i = lo + 1 to hi - 1 do
     let x = Bigarray.Array1.unsafe_get a i in
     let j = ref (i - 1) in
@@ -137,7 +41,7 @@ let binsertion (a : int32_array) ~lo ~hi =
     Bigarray.Array1.unsafe_set a (!j + 1) x
   done
 
-let bheapsort (a : int32_array) ~lo ~hi =
+let heapsort (a : int32_array) ~lo ~hi =
   let len = hi - lo in
   let sift root len =
     let root = ref root in
@@ -155,7 +59,7 @@ let bheapsort (a : int32_array) ~lo ~hi =
         in
         if Bigarray.Array1.unsafe_get a (lo + !root) < Bigarray.Array1.unsafe_get a (lo + child)
         then begin
-          bswap a (lo + !root) (lo + child);
+          swap a (lo + !root) (lo + child);
           root := child
         end
         else continue := false
@@ -166,46 +70,46 @@ let bheapsort (a : int32_array) ~lo ~hi =
     sift i len
   done;
   for last = len - 1 downto 1 do
-    bswap a lo (lo + last);
+    swap a lo (lo + last);
     sift 0 last
   done
 
-let rec bquick (a : int32_array) ~lo ~hi depth =
+let rec quick (a : int32_array) ~lo ~hi depth =
   let lo = ref lo and hi = ref hi in
   while !hi - !lo > insertion_threshold do
     if depth = 0 then begin
-      bheapsort a ~lo:!lo ~hi:!hi;
+      heapsort a ~lo:!lo ~hi:!hi;
       lo := !hi
     end
     else begin
       let mid = !lo + ((!hi - !lo) / 2) in
-      if Bigarray.Array1.unsafe_get a mid < Bigarray.Array1.unsafe_get a !lo then bswap a mid !lo;
+      if Bigarray.Array1.unsafe_get a mid < Bigarray.Array1.unsafe_get a !lo then swap a mid !lo;
       if Bigarray.Array1.unsafe_get a (!hi - 1) < Bigarray.Array1.unsafe_get a !lo then
-        bswap a (!hi - 1) !lo;
+        swap a (!hi - 1) !lo;
       if Bigarray.Array1.unsafe_get a mid < Bigarray.Array1.unsafe_get a (!hi - 1) then
-        bswap a mid (!hi - 1);
+        swap a mid (!hi - 1);
       let pivot = Bigarray.Array1.unsafe_get a (!hi - 1) in
       let i = ref !lo in
       for j = !lo to !hi - 2 do
         if Bigarray.Array1.unsafe_get a j <= pivot then begin
-          bswap a !i j;
+          swap a !i j;
           incr i
         end
       done;
-      bswap a !i (!hi - 1);
+      swap a !i (!hi - 1);
       if !i - !lo < !hi - !i - 1 then begin
-        bquick a ~lo:!lo ~hi:!i (depth - 1);
+        quick a ~lo:!lo ~hi:!i (depth - 1);
         lo := !i + 1
       end
       else begin
-        bquick a ~lo:(!i + 1) ~hi:!hi (depth - 1);
+        quick a ~lo:(!i + 1) ~hi:!hi (depth - 1);
         hi := !i
       end
     end
   done;
-  binsertion a ~lo:!lo ~hi:!hi
+  insertion a ~lo:!lo ~hi:!hi
 
 let sort_int32_range (a : int32_array) ~lo ~hi =
   if lo < 0 || hi > Bigarray.Array1.dim a || lo > hi then
     invalid_arg "Int_sort.sort_int32_range";
-  if hi - lo > 1 then bquick a ~lo ~hi (depth_budget (hi - lo))
+  if hi - lo > 1 then quick a ~lo ~hi (depth_budget (hi - lo))

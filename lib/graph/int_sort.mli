@@ -1,20 +1,15 @@
-(** In-place range sorts for CSR slice sorting.
+(** In-place range sort for CSR slice sorting.
 
-    Both sorters order the half-open range [\[lo, hi)] of their array
+    Orders the half-open range [\[lo, hi)] of an int32 bigarray
     ascending, allocating nothing: introsort (median-of-three quicksort,
     insertion sort on short ranges, heapsort past the depth budget), so
     the worst case stays O(n log n).  A sorted integer sequence is
-    unique, so results are byte-identical to sorting a copied slice with
-    [Array.sort Int.compare] and blitting it back — minus the per-slice
-    temporary that dance allocates. *)
-
-val sort_range : int array -> lo:int -> hi:int -> unit
-(** [sort_range a ~lo ~hi] sorts [a.(lo) .. a.(hi - 1)] in place.
-    @raise Invalid_argument if the range is not within [a]. *)
+    unique, so results are byte-identical to any other sort of the same
+    slice. *)
 
 type int32_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The packed CSR storage type: a C-layout bigarray of int32. *)
 
 val sort_int32_range : int32_array -> lo:int -> hi:int -> unit
-(** [sort_range] for packed int32 storage.
+(** [sort_int32_range a ~lo ~hi] sorts [a.{lo} .. a.{hi - 1}] in place.
     @raise Invalid_argument if the range is not within [a]. *)

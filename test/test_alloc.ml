@@ -102,10 +102,10 @@ let frontiers =
     ("half", fun n -> Bitset.of_list n (List.init (n / 2) (fun i -> 2 * i)));
   ]
 
-(* Words one round of [step] allocates on the [dim]-cube in the given
-   CSR storage, from [frontier], with a keyed context that has no pool. *)
-let round_words storage dim frontier step =
-  let g = storage (Gen.hypercube dim) in
+(* Words one round of [step] allocates on the [dim]-cube, from
+   [frontier], with a keyed context that has no pool. *)
+let round_words dim frontier step =
+  let g = Gen.hypercube dim in
   let n = Graph.n g in
   let current = frontier n and next = Bitset.create n in
   let rng = Rng.create 5 in
@@ -158,25 +158,20 @@ let kernels =
         Process.sis_step_keyed g ctx ~round:1 ~branching:fixed ~lazy_:false ~current ~next );
   ]
 
-let storages = [ ("boxed", Graph.to_boxed); ("packed", Graph.pack) ]
-
 let test_kernel_rounds () =
   if native then
     List.iter
-      (fun (sname, storage) ->
+      (fun (kname, allowance, frontiers, step) ->
         List.iter
-          (fun (kname, allowance, frontiers, step) ->
-            List.iter
-              (fun (fname, frontier) ->
-                let name = Printf.sprintf "%s on %s from %s" kname sname fname in
-                let small = round_words storage 10 frontier step
-                and large = round_words storage 12 frontier step in
-                check_words (name ^ ": 0 words per member") small large;
-                if large > allowance then
-                  Alcotest.failf "%s: %.0f minor words per round, over %.0f" name large allowance)
-              frontiers)
-          kernels)
-      storages
+          (fun (fname, frontier) ->
+            let name = Printf.sprintf "%s from %s" kname fname in
+            let small = round_words 10 frontier step
+            and large = round_words 12 frontier step in
+            check_words (name ^ ": 0 words per member") small large;
+            if large > allowance then
+              Alcotest.failf "%s: %.0f minor words per round, over %.0f" name large allowance)
+          frontiers)
+      kernels
 
 let next64s next k = List.init k (fun _ -> next ())
 

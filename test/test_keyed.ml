@@ -484,7 +484,6 @@ let test_local_rounds_match_reference () =
       ("hypercube d=8", Gen.hypercube 8);
     ]
   in
-  let storages = [ ("boxed", Graph.to_boxed); ("packed", Graph.pack) ] in
   let variants =
     List.concat_map
       (fun b -> [ (b, false); (b, true) ])
@@ -521,21 +520,17 @@ let test_local_rounds_match_reference () =
   let hit = Hashtbl.create 8 in
   let run ?pool cname =
     List.iter
-      (fun (gname, g0) ->
-        List.iter
-          (fun (sname, storage) ->
-            let g = storage g0 in
-            List.iteri
-              (fun fi current ->
-                let r = regime g current in
-                Hashtbl.replace hit (gname, r) ();
-                let label =
-                  Printf.sprintf "%s %s frontier %d (%s, |A|=%d), %s" gname sname fi
-                    (regime_name r) (Bitset.cardinal current) cname
-                in
-                check_rounds ?pool ~label g current ~master:(1000 + fi))
-              (frontiers (Graph.n g)))
-          storages)
+      (fun (gname, g) ->
+        List.iteri
+          (fun fi current ->
+            let r = regime g current in
+            Hashtbl.replace hit (gname, r) ();
+            let label =
+              Printf.sprintf "%s frontier %d (%s, |A|=%d), %s" gname fi (regime_name r)
+                (Bitset.cardinal current) cname
+            in
+            check_rounds ?pool ~label g current ~master:(1000 + fi))
+          (frontiers (Graph.n g)))
       graphs
   in
   run "no pool";
